@@ -7,7 +7,10 @@
 // DRAM traffic.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -85,10 +88,13 @@ type Result struct {
 
 // Cache is one set-associative cache level.
 type Cache struct {
-	cfg       Config
-	sets      [][]line
+	cfg Config
+	// lines holds every set's ways back to back, set-major: set i is
+	// lines[i*Ways : (i+1)*Ways].
+	lines     []line
 	setMask   uint64
 	lineShift uint
+	tagShift  uint // set-index bits: a line address's tag is lineAddr >> tagShift
 	clock     uint64
 	stats     Stats
 }
@@ -99,16 +105,19 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	numSets := cfg.SizeBytes / (cfg.Ways * cfg.LineBytes)
-	c := &Cache{cfg: cfg, setMask: uint64(numSets - 1)}
-	for l := cfg.LineBytes; l > 1; l >>= 1 {
-		c.lineShift++
-	}
-	c.sets = make([][]line, numSets)
-	backing := make([]line, numSets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
-	return c, nil
+	return &Cache{
+		cfg:       cfg,
+		lines:     make([]line, numSets*cfg.Ways),
+		setMask:   uint64(numSets - 1),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		tagShift:  uint(bits.OnesCount(uint(numSets - 1))),
+	}, nil
+}
+
+// set returns the ways of set idx.
+func (c *Cache) set(idx uint64) []line {
+	w := uint64(c.cfg.Ways)
+	return c.lines[idx*w : idx*w+w]
 }
 
 // Config returns the cache's configuration.
@@ -125,8 +134,8 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 func (c *Cache) Access(addr uint64, isWrite bool) Result {
 	c.clock++
 	lineAddr := addr >> c.lineShift
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> popcount(c.setMask)
+	set := c.set(lineAddr & c.setMask)
+	tag := lineAddr >> c.tagShift
 
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -175,8 +184,8 @@ func (c *Cache) Access(addr uint64, isWrite bool) Result {
 // Contains reports whether the line holding addr is present (no LRU update).
 func (c *Cache) Contains(addr uint64) bool {
 	lineAddr := addr >> c.lineShift
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> popcount(c.setMask)
+	set := c.set(lineAddr & c.setMask)
+	tag := lineAddr >> c.tagShift
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			return true
@@ -187,16 +196,7 @@ func (c *Cache) Contains(addr uint64) bool {
 
 // rebuildAddr reconstructs a line-aligned byte address from tag and set.
 func (c *Cache) rebuildAddr(tag, setIdx uint64) uint64 {
-	return ((tag << popcount(c.setMask)) | setIdx) << c.lineShift
-}
-
-func popcount(mask uint64) uint {
-	var n uint
-	for mask != 0 {
-		n += uint(mask & 1)
-		mask >>= 1
-	}
-	return n
+	return ((tag << c.tagShift) | setIdx) << c.lineShift
 }
 
 // Hierarchy chains an L1 and L2; misses in L1 look up L2, L1 writebacks are

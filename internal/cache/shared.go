@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Shared is a thread-aware shared last-level cache with way partitioning:
 // any thread may *hit* on any way, but a thread may only *allocate* into
@@ -15,6 +18,7 @@ type Shared struct {
 	sets      [][]sline
 	setMask   uint64
 	lineShift uint
+	tagShift  uint // set-index bits: a line address's tag is lineAddr >> tagShift
 	clock     uint64
 
 	// wayMask[t] is a bitmask of ways thread t may allocate into.
@@ -55,6 +59,7 @@ func NewShared(cfg Config, threads, umonSets int) (*Shared, error) {
 	s := &Shared{
 		cfg:       cfg,
 		setMask:   uint64(numSets - 1),
+		tagShift:  uint(bits.OnesCount(uint(numSets - 1))),
 		wayMask:   make([]uint64, threads),
 		perThread: make([]SharedStats, threads),
 	}
@@ -151,7 +156,7 @@ func (s *Shared) Access(t int, addr uint64, isWrite bool) (Result, bool) {
 	lineAddr := addr >> s.lineShift
 	setIdx := lineAddr & s.setMask
 	set := s.sets[setIdx]
-	tag := lineAddr >> popcount(s.setMask)
+	tag := lineAddr >> s.tagShift
 
 	if u := s.umonOf(t); u != nil {
 		u.Observe(setIdx, tag)
@@ -201,7 +206,7 @@ func (s *Shared) Access(t int, addr uint64, isWrite bool) (Result, bool) {
 	var res Result
 	if set[victim].valid && set[victim].dirty {
 		res.Writeback = true
-		res.WritebackAddr = ((set[victim].tag << popcount(s.setMask)) | setIdx) << s.lineShift
+		res.WritebackAddr = ((set[victim].tag << s.tagShift) | setIdx) << s.lineShift
 	}
 	set[victim] = sline{tag: tag, valid: true, dirty: isWrite, used: s.clock, owner: t}
 	return res, false
@@ -211,7 +216,7 @@ func (s *Shared) Access(t int, addr uint64, isWrite bool) (Result, bool) {
 func (s *Shared) Contains(addr uint64) bool {
 	lineAddr := addr >> s.lineShift
 	set := s.sets[lineAddr&s.setMask]
-	tag := lineAddr >> popcount(s.setMask)
+	tag := lineAddr >> s.tagShift
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			return true

@@ -69,9 +69,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// robEntry is one window slot; readyAt leads so the entry packs into 16
+// bytes.
 type robEntry struct {
-	done    bool
 	readyAt uint64
+	done    bool
 	isLoad  bool
 }
 
@@ -224,30 +226,36 @@ func (c *Core) Tick() error {
 	c.now++
 	c.stats.Cycles++
 
-	// Retire in order, up to Width.
-	retiredThisCycle := 0
-	for retiredThisCycle < c.cfg.Width && c.count > 0 {
-		e := &c.rob[c.head]
+	// Retire in order, up to Width. The ring cursor lives in locals for
+	// the loop and is written back once.
+	retired, head, count := 0, c.head, c.count
+	for retired < c.cfg.Width && count > 0 {
+		e := &c.rob[head]
 		if !e.done || e.readyAt > now {
 			break
 		}
 		if e.isLoad {
 			c.outstandingLoads--
 		}
-		c.head = (c.head + 1) % len(c.rob)
-		c.count--
-		c.stats.Retired++
-		retiredThisCycle++
+		if head++; head == len(c.rob) {
+			head = 0
+		}
+		count--
+		retired++
 	}
-	if retiredThisCycle == 0 {
+	c.head, c.count = head, count
+	c.stats.Retired += uint64(retired)
+	if retired == 0 {
 		c.stats.StallCycles++
 	}
 
 	// Retry spilled cache traffic before generating more.
-	c.flushPendingOps()
+	if len(c.pendingOps) > 0 {
+		c.flushPendingOps()
+	}
 
 	// Fill up to Width new instructions.
-	for filled := 0; filled < c.cfg.Width && c.count < len(c.rob); filled++ {
+	for filled := 0; filled < c.cfg.Width && c.count < len(c.rob); {
 		if !c.haveItem {
 			c.item = c.gen.Next()
 			c.genCalls++
@@ -255,8 +263,12 @@ func (c *Core) Tick() error {
 			c.haveItem = true
 		}
 		if c.gapLeft > 0 {
-			c.insert(robEntry{done: true, readyAt: now + 1})
-			c.gapLeft--
+			// A gap run fills as many slots as this cycle's width, the
+			// window and the run allow, in one go.
+			n := min(c.gapLeft, c.cfg.Width-filled, len(c.rob)-c.count)
+			c.insertGaps(n, now+1)
+			c.gapLeft -= n
+			filled += n
 			continue
 		}
 		// Backpressure: don't start new accesses while spilled traffic
@@ -275,6 +287,7 @@ func (c *Core) Tick() error {
 			break // MSHRs or controller full; retry next cycle
 		}
 		c.haveItem = false
+		filled++
 	}
 	return nil
 }
@@ -284,8 +297,27 @@ func (c *Core) insert(e robEntry) {
 		c.maxReadyAt = e.readyAt
 	}
 	c.rob[c.tail] = e
-	c.tail = (c.tail + 1) % len(c.rob)
+	if c.tail++; c.tail == len(c.rob) {
+		c.tail = 0
+	}
 	c.count++
+}
+
+// insertGaps inserts n done gap (non-memory) entries that retire from
+// readyAt on, as n calls of insert would.
+func (c *Core) insertGaps(n int, readyAt uint64) {
+	if readyAt > c.maxReadyAt {
+		c.maxReadyAt = readyAt
+	}
+	tail := c.tail
+	for i := 0; i < n; i++ {
+		c.rob[tail] = robEntry{readyAt: readyAt, done: true}
+		if tail++; tail == len(c.rob) {
+			tail = 0
+		}
+	}
+	c.tail = tail
+	c.count += n
 }
 
 func (c *Core) flushPendingOps() {

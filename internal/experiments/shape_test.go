@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sync"
 	"testing"
 
 	"dbpsim/internal/sim"
@@ -17,20 +18,45 @@ func TestPaperShape(t *testing.T) {
 	e := sim.NewExperiment(sim.DefaultConfig(8), 200_000, 400_000)
 	mix, _ := workload.MixByName("W8-M1")
 
-	run := func(s sim.SchedulerKind, p sim.PartitionKind) (ws, ms float64) {
-		r, err := e.RunMix(mix, s, p)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", s, p, err)
-		}
-		return r.Metrics.WeightedSpeedup, r.Metrics.MaxSlowdown
+	// The six policy runs are independent: they run concurrently on the
+	// one experiment, whose alone-baseline cache is mutex-guarded, and each
+	// run is deterministic, so the figures match a sequential run exactly.
+	policies := [...]struct {
+		s sim.SchedulerKind
+		p sim.PartitionKind
+	}{
+		{sim.SchedFRFCFS, sim.PartNone},
+		{sim.SchedFRFCFS, sim.PartEqual},
+		{sim.SchedFRFCFS, sim.PartDBP},
+		{sim.SchedTCM, sim.PartNone},
+		{sim.SchedTCM, sim.PartDBP},
+		{sim.SchedFRFCFS, sim.PartMCP},
 	}
-
-	frWS, frMS := run(sim.SchedFRFCFS, sim.PartNone)
-	eqWS, eqMS := run(sim.SchedFRFCFS, sim.PartEqual)
-	dbpWS, dbpMS := run(sim.SchedFRFCFS, sim.PartDBP)
-	tcmWS, tcmMS := run(sim.SchedTCM, sim.PartNone)
-	comboWS, comboMS := run(sim.SchedTCM, sim.PartDBP)
-	mcpWS, mcpMS := run(sim.SchedFRFCFS, sim.PartMCP)
+	var ws, ms [len(policies)]float64
+	var wg sync.WaitGroup
+	for i := range policies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s, p := policies[i].s, policies[i].p
+			r, err := e.RunMixRecorded(mix, s, p, nil)
+			if err != nil {
+				t.Errorf("%s/%s: %v", s, p, err)
+				return
+			}
+			ws[i], ms[i] = r.Metrics.WeightedSpeedup, r.Metrics.MaxSlowdown
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	frWS, frMS := ws[0], ms[0]
+	eqWS, eqMS := ws[1], ms[1]
+	dbpWS, dbpMS := ws[2], ms[2]
+	tcmWS, tcmMS := ws[3], ms[3]
+	comboWS, comboMS := ws[4], ms[4]
+	mcpWS, mcpMS := ws[5], ms[5]
 
 	t.Logf("FRFCFS %.3f/%.3f EqualBP %.3f/%.3f DBP %.3f/%.3f TCM %.3f/%.3f DBP-TCM %.3f/%.3f MCP %.3f/%.3f",
 		frWS, frMS, eqWS, eqMS, dbpWS, dbpMS, tcmWS, tcmMS, comboWS, comboMS, mcpWS, mcpMS)

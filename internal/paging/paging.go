@@ -82,6 +82,13 @@ type PageTable struct {
 	rr        int   // round-robin cursor into allowed
 	pageShift uint
 
+	// memoVPN → memoPFN is the last translation, checked before entries;
+	// valid only while memoOK. Derived state: not serialised, and cleared
+	// wherever entries can change a mapping (Migrate, Rebalance, Restore).
+	memoVPN uint64
+	memoPFN uint64
+	memoOK  bool
+
 	// PagesAllocated counts first-touch allocations.
 	PagesAllocated uint64
 	// PagesMigrated counts pages moved by Migrate.
@@ -139,16 +146,21 @@ func (pt *PageTable) nextColor() int {
 // page on first touch. allocated reports a first-touch fault.
 func (pt *PageTable) Translate(vaddr uint64) (paddr uint64, allocated bool, err error) {
 	vpn := vaddr >> pt.pageShift
-	pfn, ok := pt.entries[vpn]
-	if !ok {
-		pfn, err = pt.alloc.Alloc(pt.nextColor())
-		if err != nil {
-			return 0, false, err
+	pfn := pt.memoPFN
+	if !pt.memoOK || vpn != pt.memoVPN {
+		var ok bool
+		pfn, ok = pt.entries[vpn]
+		if !ok {
+			pfn, err = pt.alloc.Alloc(pt.nextColor())
+			if err != nil {
+				return 0, false, err
+			}
+			pt.entries[vpn] = pfn
+			pt.order = append(pt.order, vpn)
+			pt.PagesAllocated++
+			allocated = true
 		}
-		pt.entries[vpn] = pfn
-		pt.order = append(pt.order, vpn)
-		pt.PagesAllocated++
-		allocated = true
+		pt.memoVPN, pt.memoPFN, pt.memoOK = vpn, pfn, true
 	}
 	offset := vaddr & ((1 << pt.pageShift) - 1)
 	return pfn<<pt.pageShift | offset, allocated, nil
@@ -173,6 +185,7 @@ func (pt *PageTable) MisplacedPages() int {
 // returning how many were moved. The caller models the migration cost
 // (each move is one page of read+write traffic).
 func (pt *PageTable) Migrate(maxPages int) int {
+	pt.memoOK = false
 	moved := 0
 	for _, vpn := range pt.order {
 		if moved >= maxPages {
@@ -204,6 +217,7 @@ func (pt *PageTable) Rebalance(maxPages int) int {
 	if maxPages <= 0 || len(pt.allowed) < 2 {
 		return 0
 	}
+	pt.memoOK = false
 	hist := pt.ColorHistogram()
 	inMask := 0
 	for _, c := range pt.allowed {

@@ -80,6 +80,7 @@ func (pt *PageTable) Restore(st PageTableState) error {
 	if len(st.Entries) != len(st.Order) {
 		return fmt.Errorf("paging: snapshot has %d entries but %d ordered pages", len(st.Entries), len(st.Order))
 	}
+	pt.memoOK = false
 	pt.entries = make(map[uint64]uint64, len(st.Entries))
 	for vpn, pfn := range st.Entries {
 		pt.entries[vpn] = pfn

@@ -97,6 +97,26 @@ func TestSyncTimeoutCancelsAbandonedRun(t *testing.T) {
 	}
 }
 
+// TestSyncOKIsCounted pins the ordering in finishJob: the terminal
+// counters move before the job's waiters wake, so a client holding a 200
+// always finds its own run in runs_executed_total. The journal makes the
+// old failure deterministic rather than a scheduling accident: its end
+// record (an fsync) is written after the waiters wake, and a counter
+// updated after that record lagged the response by the fsync.
+func TestSyncOKIsCounted(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, JournalDir: t.TempDir()})
+	const runs = 8
+	for i := 1; i <= runs; i++ {
+		resp, data := postRun(t, ts.URL, seededBody(8100+i))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("run %d: status %d: %s", i, resp.StatusCode, data)
+		}
+		if got := scrapeMetrics(t, ts.URL)["dbpserved_runs_executed_total"]; got != float64(i) {
+			t.Fatalf("after %d sync 200s runs_executed_total = %v", i, got)
+		}
+	}
+}
+
 // TestQueuedJobRemovedOnAbandonment pins the satellite fix: a sync request
 // whose waiter departs while the job is still queued removes the work — the
 // worker discards it un-executed instead of burning a slot on a run nobody

@@ -1068,7 +1068,6 @@ func (s *Server) finishJob(j *job, data []byte, apiErr *APIError, dur time.Durat
 	drainCheckpointed := s.journal != nil && apiErr != nil && context.Cause(j.ctx) == errDrainCancel
 	j.data, j.apiErr = data, apiErr
 	j.cancel(nil) // release the context's timer/goroutine resources
-	close(j.done)
 	if dur > 0 {
 		// Feed the tenant's slowdown gauge: shared time is queue wait plus
 		// service, alone time is service — the fairness metric of the paper,
@@ -1076,24 +1075,6 @@ func (s *Server) finishJob(j *job, data []byte, apiErr *APIError, dur time.Durat
 		// signal.
 		s.slow.observe(j.tenantName, j.queueWait, dur)
 	}
-	if !drainCheckpointed {
-		st := tenancyStamp{tenant: j.tenantName, lane: j.lane, cost: float64(j.est.SimCycles), ts: j.admitted.UnixNano()}
-		if err := s.journal.appendEnd(j.id, j.key, state, apiErr, resultHash, st); err != nil {
-			s.journalTrouble("journal end record failed", j.id, err)
-		}
-		// A terminal job will never resume; under RetainLatest its last
-		// checkpoint blob is garbage the moment the end record lands. A
-		// drain-checkpointed job keeps its blob — that IS the resume point.
-		if s.opt.RetainCheckpoints == RetainLatest && j.lastCkpt != "" {
-			if err := s.journal.removeCheckpoint(j.lastCkpt); err != nil {
-				s.journalTrouble("final checkpoint prune failed", j.id, err)
-			} else {
-				s.met.checkpointsPruned.Add(1)
-			}
-			j.lastCkpt = ""
-		}
-	}
-
 	switch {
 	case apiErr == nil && j.peerServed:
 		// Answered by the fleet, not simulated here: the worker's
@@ -1121,6 +1102,28 @@ func (s *Server) finishJob(j *job, data []byte, apiErr *APIError, dur time.Durat
 		s.log.Error("run failed",
 			"id", j.id, "mix", j.run.mix.Name, "code", apiErr.Code,
 			"err", apiErr.Message, "dur_s", dur.Seconds())
+	}
+	// Waiters wake only after the counters above are updated, so a client
+	// holding a 200 always sees its own run counted. The journal end record
+	// is written after the wake-up: writing it first would put an fsync on
+	// every request's latency.
+	close(j.done)
+	if !drainCheckpointed {
+		st := tenancyStamp{tenant: j.tenantName, lane: j.lane, cost: float64(j.est.SimCycles), ts: j.admitted.UnixNano()}
+		if err := s.journal.appendEnd(j.id, j.key, state, apiErr, resultHash, st); err != nil {
+			s.journalTrouble("journal end record failed", j.id, err)
+		}
+		// A terminal job will never resume; under RetainLatest its last
+		// checkpoint blob is garbage the moment the end record lands. A
+		// drain-checkpointed job keeps its blob — that IS the resume point.
+		if s.opt.RetainCheckpoints == RetainLatest && j.lastCkpt != "" {
+			if err := s.journal.removeCheckpoint(j.lastCkpt); err != nil {
+				s.journalTrouble("final checkpoint prune failed", j.id, err)
+			} else {
+				s.met.checkpointsPruned.Add(1)
+			}
+			j.lastCkpt = ""
+		}
 	}
 }
 

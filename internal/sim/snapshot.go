@@ -451,6 +451,7 @@ func (s *System) RestoreSnapshot(blob []byte) error {
 	}
 
 	s.cycle = st.Cycle
+	s.syncClocks()
 	s.memCycles = st.MemCycles
 	copy(s.agg, st.Agg)
 	s.aggCount = st.AggCount

@@ -63,6 +63,12 @@ type System struct {
 	memCycles uint64
 	partQ     uint64 // partition quantum (CPU cycles), 0 = static policy
 	schedQ    uint64
+	// nextMemTick is the first CPU cycle >= cycle that ticks the memory
+	// clock (a multiple of CPUClockRatio), and nextQuantum the first
+	// scheduler-quantum boundary > cycle. Derived from cycle by syncClocks:
+	// not serialised.
+	nextMemTick uint64
+	nextQuantum uint64
 	// skipping enables event-driven cycle skipping (see trySkip). On by
 	// default; results are bit-identical either way, so it is a run-speed
 	// knob, not a config parameter (and deliberately not part of the
@@ -129,6 +135,7 @@ func NewSystem(cfg Config, benches []Bench) (*System, error) {
 		partScratch: make([]profile.ThreadSample, cfg.Cores),
 		skipping:    true,
 	}
+	s.syncClocks()
 	s.alloc = paging.NewAllocator(s.mapper)
 
 	// Scheduler (shared across channels so thread ranks are global).
@@ -396,7 +403,8 @@ func (s *System) step() error {
 			return err
 		}
 	}
-	if s.cycle%uint64(s.cfg.CPUClockRatio) == 0 {
+	if s.cycle == s.nextMemTick {
+		s.nextMemTick += uint64(s.cfg.CPUClockRatio)
 		// Empty samples only touch unserialised sampler scratch, so gating
 		// on outstanding work changes no observable state.
 		if s.anyOutstanding() {
@@ -408,10 +416,19 @@ func (s *System) step() error {
 		s.memCycles++
 	}
 	s.cycle++
-	if s.cycle%s.schedQ == 0 {
+	if s.cycle == s.nextQuantum {
+		s.nextQuantum += s.schedQ
 		s.onSchedQuantum()
 	}
 	return s.invErr
+}
+
+// syncClocks recomputes the clock counters step uses from cycle, after
+// anything that moves cycle other than step itself.
+func (s *System) syncClocks() {
+	ratio := uint64(s.cfg.CPUClockRatio)
+	s.nextMemTick = (s.cycle + ratio - 1) / ratio * ratio
+	s.nextQuantum = (s.cycle/s.schedQ + 1) * s.schedQ
 }
 
 // anyOutstanding reports whether any controller holds queued or in-flight
@@ -445,7 +462,7 @@ const noRetireTarget = ^uint64(0)
 // detection is pending, or the jump would not clear at least one full cycle.
 func (s *System) trySkip(maxCycles uint64, retireTargets []uint64) (jumped bool, err error) {
 	c := s.cycle
-	limit := (c/s.schedQ + 1) * s.schedQ
+	limit := s.nextQuantum
 	if maxCycles < limit {
 		limit = maxCycles
 	}
@@ -522,6 +539,7 @@ func (s *System) trySkip(maxCycles uint64, retireTargets []uint64) (jumped bool,
 		s.memCycles += m
 	}
 	s.cycle = wake
+	s.syncClocks()
 	if s.cycle%s.schedQ == 0 {
 		s.onSchedQuantum()
 	}

@@ -12,8 +12,6 @@
 //   - BLP: number of concurrent independent streams / dependence chains.
 package trace
 
-import "math/rand"
-
 // Item is one memory access in a trace.
 type Item struct {
 	// Gap is the number of non-memory instructions retired before this
@@ -53,10 +51,10 @@ type Config struct {
 type gapper struct {
 	perAccess float64 // non-memory instructions per access
 	acc       float64
-	rng       *rand.Rand
+	rng       *rng
 }
 
-func newGapper(memRatio float64, rng *rand.Rand) *gapper {
+func newGapper(memRatio float64, rng *rng) *gapper {
 	if memRatio <= 0 {
 		memRatio = 0.01
 	}
@@ -93,7 +91,7 @@ const lineSize = 64
 type StreamGen struct {
 	cfg     Config
 	gaps    *gapper
-	rng     *rand.Rand
+	rng     *rng
 	offsets []uint64
 	region  uint64
 	stride  uint64
@@ -109,7 +107,7 @@ func NewStream(cfg Config, streams, strideBytes int, seed int64) *StreamGen {
 	if strideBytes < 1 {
 		strideBytes = lineSize
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRNG(seed)
 	g := &StreamGen{
 		cfg:     cfg,
 		gaps:    newGapper(cfg.MemRatio, rng),
@@ -132,9 +130,16 @@ func NewStream(cfg Config, streams, strideBytes int, seed int64) *StreamGen {
 // Next implements Generator.
 func (g *StreamGen) Next() Item {
 	s := g.cur
-	g.cur = (g.cur + 1) % len(g.offsets)
+	if g.cur++; g.cur == len(g.offsets) {
+		g.cur = 0
+	}
 	addr := g.cfg.BaseAddr + uint64(s)*g.region + g.offsets[s]
-	g.offsets[s] = (g.offsets[s] + g.stride) % g.region
+	// offsets[s] < region and stride <= region, so one subtraction wraps.
+	off := g.offsets[s] + g.stride
+	if off >= g.region {
+		off -= g.region
+	}
+	g.offsets[s] = off
 	return Item{
 		Gap:     g.gaps.next(),
 		Addr:    addr,
@@ -147,13 +152,13 @@ func (g *StreamGen) Next() Item {
 type RandomGen struct {
 	cfg   Config
 	gaps  *gapper
-	rng   *rand.Rand
+	rng   *rng
 	lines int64
 }
 
 // NewRandom builds a uniform-random generator.
 func NewRandom(cfg Config, seed int64) *RandomGen {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRNG(seed)
 	lines := int64(cfg.WorkingSetBytes / lineSize)
 	if lines < 1 {
 		lines = 1
@@ -208,8 +213,9 @@ type Weighted struct {
 // mixture's memory intensity is the weighted blend of its parts.
 type MixGen struct {
 	parts []Weighted
-	total float64 // sum of selection weights (Weight/Burst)
-	rng   *rand.Rand
+	sel   []float64 // per-part selection weight Weight/Burst
+	total float64   // sum of sel
+	rng   *rng
 
 	// current run
 	cur  int
@@ -219,14 +225,16 @@ type MixGen struct {
 // NewMix builds a mixture generator. Parts with non-positive weight are
 // dropped; NewMix panics if nothing remains (a configuration bug).
 func NewMix(parts []Weighted, seed int64) *MixGen {
-	g := &MixGen{rng: rand.New(rand.NewSource(seed))}
+	g := &MixGen{rng: newRNG(seed)}
 	for _, p := range parts {
 		if p.Weight > 0 && p.Gen != nil {
 			if p.Burst < 1 {
 				p.Burst = 1
 			}
+			sel := p.Weight / float64(p.Burst)
 			g.parts = append(g.parts, p)
-			g.total += p.Weight / float64(p.Burst)
+			g.sel = append(g.sel, sel)
+			g.total += sel
 		}
 	}
 	if len(g.parts) == 0 {
@@ -240,8 +248,7 @@ func (g *MixGen) Next() Item {
 	if g.left == 0 {
 		x := g.rng.Float64() * g.total
 		g.cur = len(g.parts) - 1
-		for i, p := range g.parts {
-			sel := p.Weight / float64(p.Burst)
+		for i, sel := range g.sel {
 			if x < sel {
 				g.cur = i
 				break
